@@ -24,7 +24,7 @@ headline ``single_cell_batched_speedup`` in the JSON summary.
 A third section times the *port-parallel* π-schemes (dual-/quad-port,
 ``repro.prt.dual_port``): the interpreted per-cycle engine vs the
 compiled cycle-grouped replay vs the batched lane-parallel engine
-(``multiport_rows``; the packed backends execute cycle groups natively,
+(``multiport_rows``; the packed executor runs cycle groups natively,
 so the batched column is lane passes, not scalar delegation; detection
 happens at the final signature, so the compiled ratio isolates the
 grouped executor win and the batched ratio the lane-vs-scalar win).
@@ -44,7 +44,7 @@ the lane-shard threshold whole lane-pass chunks fan out across the pool
 (``sharded_vs_serial`` is the cores-are-a-real-win ratio the CI gate
 checks on multi-core hosts).
 
-A fifth section times the *word-lane* packed backend (``wordlane_rows``):
+A fifth section times the *word-lane* packed executor (``wordlane_rows``):
 the full word-oriented ``standard_universe(n, m=8)`` (per-bit single-cell
 faults, inter-cell and intra-word coupling) on March C- and a GF(2^8)
 PRT schedule, plus a CFst-only coupling universe (the last coupling
@@ -263,7 +263,7 @@ def bench_single_cell(n: int) -> list[dict]:
 def bench_multiport(n: int) -> list[dict]:
     """The port-parallel π-schemes: interpreted cycle() loop vs compiled
     cycle-grouped replay (``MultiPortRAM.apply_stream``) vs the batched
-    lane-parallel engine (the packed backends execute cycle groups
+    lane-parallel engine (the packed executor runs cycle groups
     natively -- pre-cycle reads, in-order write commit, one clock tick
     per group -- so the batched column is lane passes, not scalar
     delegation).
@@ -376,7 +376,7 @@ WORDLANE_TESTS = (
 
 
 def bench_wordlane(n: int) -> list[dict]:
-    """The word-lane packed backend: compiled per-fault replay vs lane
+    """The word-lane packed executor: compiled per-fault replay vs lane
     passes with m=8 bit planes per lane, plus a CFst-only row (the state
     coupling class now resolved by the settle-hook lane model)."""
     rows = []

@@ -3,7 +3,7 @@
 Historically every campaign entry point -- :func:`run_coverage`,
 :func:`compare_tests`, the CLI ``coverage``/``compare`` commands, and
 now the HTTP endpoints of :mod:`repro.server` -- threaded its own sprawl
-of ``engine/backend/workers/scheme/poly`` kwargs and duplicated the
+of ``engine/workers/scheme/poly`` kwargs and duplicated the
 validation.  This module collapses them onto one surface:
 
 * :class:`CampaignRequest` -- a frozen dataclass naming the test (a
@@ -14,7 +14,7 @@ validation.  This module collapses them onto one surface:
   describe byte-identical campaigns.
 
 * :func:`resolve_campaign` -- the one shared resolver: validates every
-  field (unknown tests, bad engines/backends, odd-``n`` quad schemes,
+  field (unknown tests, bad engines, odd-``n`` quad schemes,
   malformed field polynomials ... all raise :class:`RequestError` with a
   pointed message), builds the runner, compiles the stream, and derives
   the :meth:`CampaignRequest.cache_key` from the stream's
@@ -28,7 +28,7 @@ validation.  This module collapses them onto one surface:
   dict lookup instead of a campaign.
 
 The cache key is built from ``(stream digest, universe spec, engine,
-backend, m, n, ports)`` -- everything that determines the report, and
+m, n, ports)`` -- everything that determines the report, and
 nothing that does not (``workers`` changes wall clock, never verdicts,
 so it is deliberately excluded).
 
@@ -66,7 +66,7 @@ from repro.analysis.coverage import (
     run_coverage,
     schedule_runner,
 )
-from repro.faults.universe import FaultUniverse, UniverseSpec, standard_universe
+from repro.faults.universe import FaultUniverse, UniverseSpec, standard_spec
 from repro.gf2 import poly_from_string, primitive_polynomial
 from repro.gf2m import GF2m
 from repro.march.library import MARCH_B, MARCH_C_MINUS, MATS, MATS_PLUS
@@ -89,16 +89,11 @@ __all__ = [
     "build_field",
     "known_tests",
     "ENGINES",
-    "BACKENDS",
 ]
 
 #: Valid campaign engines (shared by the resolver, ``run_coverage`` and
 #: the CLI/server option surfaces).
 ENGINES = ("auto", "compiled", "batched", "interpreted")
-
-#: Valid packed-column storage backends (see
-#: :class:`~repro.memory.packed.PackedMemoryArray`).
-BACKENDS = ("auto", "int", "numpy")
 
 _MARCH_TESTS = {
     "mats": MATS,
@@ -196,7 +191,7 @@ class CampaignRequest:
         Optional :class:`~repro.faults.universe.UniverseSpec`; ``None``
         selects ``standard_universe(n, m)``.  Passing a spec (not a
         fault list) is what keeps requests hashable and shardable.
-    engine, backend, workers:
+    engine, workers:
         Execution options, identical to ``run_coverage``'s kwargs.
         ``workers`` is excluded from :meth:`cache_key` -- it changes
         wall clock, never verdicts.
@@ -219,7 +214,6 @@ class CampaignRequest:
     m: int = 1
     universe: UniverseSpec | None = None
     engine: str = "auto"
-    backend: str = "auto"
     workers: int = 0
     pure: bool = False
     poly: str | None = None
@@ -227,8 +221,8 @@ class CampaignRequest:
     def cache_key(self) -> str:
         """Stable content address of this campaign's result.
 
-        SHA-256 over ``(stream digest, universe spec, engine, backend,
-        m, n, ports)`` -- stable across processes and Python runs, so an
+        SHA-256 over ``(stream digest, universe spec, engine, m, n,
+        ports)`` -- stable across processes and Python runs, so an
         on-disk cache written by one server process serves another.
         Validation runs first: an invalid request has no key.
         """
@@ -279,7 +273,6 @@ class ResolvedCampaign:
                 self.compile().digest(),
                 repr(self.universe_spec),
                 request.engine,
-                request.backend,
                 str(request.m),
                 str(request.n),
                 str(self.ports),
@@ -321,10 +314,6 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
     if request.engine not in ENGINES:
         raise RequestError(
             f"engine must be one of {ENGINES}, got {request.engine!r}"
-        )
-    if request.backend not in BACKENDS:
-        raise RequestError(
-            f"backend must be one of {BACKENDS}, got {request.backend!r}"
         )
     if not isinstance(request.workers, int) or request.workers < 0:
         raise RequestError(
@@ -373,7 +362,7 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
         operations = runner.compile(n, m).operation_count
         test_name = display  # legacy CLI labels scheme reports by display
     if request.universe is None:
-        spec = standard_universe(n, m).spec
+        spec = standard_spec(n, m)
     else:
         if not isinstance(request.universe, UniverseSpec):
             raise RequestError(
@@ -493,13 +482,6 @@ def execute_request(request: CampaignRequest,
     key = resolved.cache_key
     store = _resolve_cache(cache)
     if store is not None:
-        hit = store.get(key)
-        if hit is not None:
-            hit.test_name = name
-            return RequestOutcome(report=hit, cached=True,
-                                  elapsed_s=time.perf_counter() - start,
-                                  cache_key=key)
-
         def compute() -> CoverageReport:
             return _run_resolved(resolved, name, pool, progress)
 
@@ -523,7 +505,7 @@ def _run_resolved(resolved: ResolvedCampaign, name: str,
     return run_coverage(
         resolved.runner, resolved.build_universe(), request.n, m=request.m,
         test_name=name, workers=request.workers, engine=request.engine,
-        pool=pool, backend=request.backend, progress=progress,
+        pool=pool, progress=progress,
     )
 
 

@@ -13,7 +13,7 @@ canonical universes for a memory of ``n`` cells by ``m`` bits:
 * :func:`intra_word_universe` -- intra-word coupling for WOMs (claim C7);
 * :func:`bridging_universe` -- wired-AND/OR bridges between adjacent cells;
 * :func:`standard_universe` -- the union used by the headline experiments
-  (E3, E9).
+  (E3, E9); :func:`standard_spec` is its recipe without the enumeration.
 
 Every generator is deterministic (seeded sampling), which is what makes
 process sharding cheap: a universe built here carries a
@@ -26,6 +26,7 @@ instead of pickled fault objects.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ __all__ = [
     "bridging_universe",
     "npsf_universe",
     "standard_universe",
+    "standard_spec",
 ]
 
 
@@ -435,14 +437,39 @@ def standard_universe(n: int, m: int = 1, seed: int = 0) -> FaultUniverse:
     pairs, bridges, and the four decoder-fault types.  DRF is excluded by
     default because detecting it requires explicit pause elements
     (both March and PRT need the same added delay; see E3's notes).
+    The recipe is :func:`standard_spec`.
     """
-    universe = single_cell_universe(n, m, classes=("SAF", "TF", "SOF"))
-    universe += coupling_universe(n, m, seed=seed)
-    universe += bridging_universe(n)
-    universe += decoder_universe(n, seed=seed)
+    return standard_spec(n, m, seed).build()
+
+
+def standard_spec(n: int, m: int = 1, seed: int = 0) -> UniverseSpec:
+    """The :class:`UniverseSpec` of :func:`standard_universe`, built
+    without enumerating a single fault (a request resolver needs only
+    the spec, as part of the cache key).
+
+    >>> standard_spec(8, m=4) == standard_universe(8, m=4).spec
+    True
+    """
+    if n < 2:  # the coupling part would refuse at build time
+        raise ValueError("coupling faults need at least two cells")
+    parts = [
+        _generator_spec("single_cell", n=n, m=m,
+                        classes=("SAF", "TF", "SOF")),
+        _generator_spec("coupling", n=n, m=m, seed=seed),
+        _generator_spec("bridging", n=n),
+        _generator_spec("decoder", n=n, seed=seed),
+    ]
     if m > 1:
-        universe += intra_word_universe(n, m, seed=seed)
-    return universe
+        parts.append(_generator_spec("intra_word", n=n, m=m, seed=seed))
+    return UniverseSpec("union", parts=tuple(parts))
+
+
+def _generator_spec(generator: str, **kwargs) -> UniverseSpec:
+    """The spec ``_SPEC_GENERATORS[generator](**kwargs)`` would record:
+    every argument, defaults included."""
+    bound = inspect.signature(_SPEC_GENERATORS[generator]).bind(**kwargs)
+    bound.apply_defaults()
+    return UniverseSpec.call(generator, **bound.arguments)
 
 
 # Spec-resolvable generators (see UniverseSpec).  standard_universe is

@@ -11,7 +11,7 @@ Models the memories the paper tests:
   semantics -- :mod:`repro.memory.ram` and :mod:`repro.memory.multiport`,
 * an operation trace and cycle/operation accounting used by the
   time-complexity experiments (claim C4: 3n single-port vs 2n dual-port),
-* a bit-plane backend -- :class:`repro.memory.packed.PackedMemoryArray` --
+* a bit-plane lane memory -- :class:`repro.memory.packed.PackedMemoryArray` --
   that replays one compiled stream against hundreds of faulty memory
   copies at once (lane *k* of every word models fault-site *k*), used by
   the batched campaign engine :mod:`repro.sim.batched`.

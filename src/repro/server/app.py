@@ -45,7 +45,6 @@ import json
 
 from repro.analysis.compare import compare_tests
 from repro.analysis.request import (
-    BACKENDS,
     ENGINES,
     RequestError,
     execute_request,
@@ -186,7 +185,6 @@ class ReproApp:
         return {
             "schemes": known_tests(),
             "engines": list(ENGINES),
-            "backends": list(BACKENDS),
         }
 
     async def _offload(self, fn):
@@ -204,8 +202,8 @@ class ReproApp:
         return coverage_response(request, outcome)
 
     async def _verify(self, body: dict) -> dict:
-        # The request surface is the coverage body (engine/backend/
-        # workers are accepted and ignored -- verification is static).
+        # The request surface is the coverage body (engine/workers
+        # are accepted and ignored -- verification is static).
         request = self._parse(request_from_dict, body)
 
         def run() -> dict:

@@ -3,7 +3,7 @@
 A coverage campaign is a pure function of its
 :class:`~repro.analysis.request.CampaignRequest`: the stream digest
 (:meth:`~repro.sim.ir.OpStream.digest`), the
-:class:`~repro.faults.universe.UniverseSpec`, the engine/backend and the
+:class:`~repro.faults.universe.UniverseSpec`, the engine and the
 geometry fully determine the :class:`CoverageReport` -- the request's
 ``cache_key()`` is a SHA-256 content address over exactly those parts.
 :class:`ResultCache` exploits that:
@@ -100,7 +100,11 @@ class ResultCache:
         Checks the memory LRU first, then the disk tier; a disk hit is
         promoted back into memory.
         """
-        key = self._check_key(key)
+        return self._lookup(self._check_key(key), count_miss=True)
+
+    def _lookup(self, key: str, count_miss: bool):
+        """:meth:`get` for a checked key; ``count_miss=False`` leaves a
+        miss uncounted (a recheck of a lookup that already counted it)."""
         with self._lock:
             blob = self._entries.get(key)
             if blob is not None:
@@ -118,8 +122,9 @@ class ResultCache:
                     self._hits += 1
                     self._disk_promotions += 1
         if blob is None:
-            with self._lock:
-                self._misses += 1
+            if count_miss:
+                with self._lock:
+                    self._misses += 1
             return None
         return pickle.loads(blob)
 
@@ -143,7 +148,9 @@ class ResultCache:
 
         ``fresh`` is True when this call ran ``compute``.  Concurrent
         callers with the same key serialize on a per-key lock: one
-        computes, the rest get the cached copy.
+        computes, the rest get the cached copy.  A call counts at most one
+        miss in :meth:`stats`: the recheck under the per-key lock counts
+        only the hit a racer left behind.
         """
         key = self._check_key(key)
         value = self.get(key)
@@ -153,7 +160,8 @@ class ResultCache:
             gate = self._inflight.setdefault(key, threading.Lock())
         try:
             with gate:
-                value = self.get(key)  # a racer may have filled it
+                # A racer may have filled it; the miss is already counted.
+                value = self._lookup(key, count_miss=False)
                 if value is not None:
                     return value, False
                 result = compute()

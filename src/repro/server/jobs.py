@@ -76,9 +76,11 @@ class JobManager:
         The :class:`~repro.server.cache.ResultCache` campaign work runs
         against (None = the process default).
     max_workers:
-        Concurrent campaigns (threads).  The engines release the GIL in
-        their numpy inner loops, so two is a useful default even
-        in-process.
+        Job threads.  The lane and scalar engines are pure Python and
+        hold the GIL, so two campaigns in one process do not run in
+        parallel; what extra threads buy is overlap -- cache hits and
+        I/O complete while a campaign runs.  A request uses more cores
+        through its ``workers`` option (the process pool).
     history:
         Finished jobs retained for polling; the oldest are dropped
         beyond this bound.

@@ -14,7 +14,7 @@ Request bodies
 :class:`~repro.analysis.request.CampaignRequest`::
 
     {"test": "march-c", "n": 64, "m": 1,
-     "engine": "auto", "backend": "auto", "workers": 0,
+     "engine": "auto", "workers": 0,
      "pure": false, "poly": null,
      "universe": {"generator": "single_cell",
                   "kwargs": {"n": 64, "m": 1,
@@ -81,7 +81,6 @@ _REQUEST_FIELDS = {
     "m": (int, False),
     "universe": (dict, False),
     "engine": (str, False),
-    "backend": (str, False),
     "workers": (int, False),
     "pure": (bool, False),
     "poly": (str, False),

@@ -14,7 +14,7 @@ stream comes back as its full line sequence.
 >>> response.status, response.headers["content-type"]
 (200, 'application/json')
 >>> sorted(response.json())
-['backends', 'engines', 'schemes']
+['engines', 'schemes']
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ replays a compiled :class:`~repro.sim.ir.OpStream` once per fault.  For
 the fault classes that dominate real universes the *operations* of every
 one of those replays are identical; only the fault site differs.  This
 engine exploits that: it packs one fault per *lane* of a
-:class:`~repro.memory.packed.PackedMemoryArray` (lane-parallel bit
-columns -- plain Python ints or numpy uint64 blocks, ``m`` planes per
-lane for word-oriented geometries) and replays the stream **once per
-class**, applying each lane's fault as a mask operation positioned in
-the faulty bit's plane:
+:class:`~repro.memory.packed.PackedMemoryArray` (lane-parallel int
+columns, ``m`` planes per lane for word-oriented geometries) and
+replays the stream **once per class**, applying each lane's fault as
+a mask operation positioned in the faulty bit's plane:
 
 * stuck-at:   ``new |= sa1_mask[addr]``, ``new &= ~sa0_mask[addr]``
 * transition: ``new &= ~(~old & new & tf_up_mask[addr])`` (blocked rise),
@@ -54,12 +53,13 @@ geometry fall back per fault to
 :func:`run_campaign_batched` accepts *any* universe and returns verdicts
 identical to the scalar engines, in universe order.
 
-Lane models build their masks as plain ints at construction time (the
-pass's lane count is the plane stride) and convert them to backend
-columns in ``install`` through the memory's helper surface
-(``col_from_int`` / ``spread`` / ``blend_lanes`` / ...), which is what
-lets one model implementation drive both the big-int and the numpy
-uint64 column kernels.
+Lane models build their masks as int columns at construction time
+(the pass's lane count is the plane stride).  Masks that need the
+memory's plane count are finished in ``install``, and every placement
+of a row into planes goes through the memory's helper surface
+(``spread`` / ``row_to_plane`` / ``shift_planes`` / ``blend_lanes`` /
+...), so the plane-major layout stays behind
+:class:`~repro.memory.packed.PackedMemoryArray`.
 """
 
 from __future__ import annotations
@@ -102,18 +102,14 @@ class _StuckLanes(LaneFaultModel):
 
     def __init__(self, semantics: list[VectorSemantics]):
         stride = len(semantics)  # == the pass's lane count (plane stride)
-        self._sa1: dict[int, object] = {}
-        self._sa0: dict[int, object] = {}
+        self._sa1: dict[int, int] = {}
+        self._sa0: dict[int, int] = {}
         for lane, sem in enumerate(semantics):
             target = self._sa1 if sem.value else self._sa0
             bit = 1 << (sem.bit * stride + lane)
             target[sem.cell] = target.get(sem.cell, 0) | bit
 
     def install(self, memory: PackedMemoryArray) -> None:
-        self._sa1 = {addr: memory.col_from_int(mask)
-                     for addr, mask in self._sa1.items()}
-        self._sa0 = {addr: memory.col_from_int(mask)
-                     for addr, mask in self._sa0.items()}
         # Cells power up at 0; stuck-at-1 lanes are forced immediately.
         for addr, mask in self._sa1.items():
             memory.or_lanes(addr, mask)
@@ -137,18 +133,12 @@ class _TransitionLanes(LaneFaultModel):
 
     def __init__(self, semantics: list[VectorSemantics]):
         stride = len(semantics)
-        self._up: dict[int, object] = {}
-        self._down: dict[int, object] = {}
+        self._up: dict[int, int] = {}
+        self._down: dict[int, int] = {}
         for lane, sem in enumerate(semantics):
             target = self._up if sem.rising else self._down
             bit = 1 << (sem.bit * stride + lane)
             target[sem.cell] = target.get(sem.cell, 0) | bit
-
-    def install(self, memory: PackedMemoryArray) -> None:
-        self._up = {addr: memory.col_from_int(mask)
-                    for addr, mask in self._up.items()}
-        self._down = {addr: memory.col_from_int(mask)
-                      for addr, mask in self._down.items()}
 
     def transform_write(self, addr: int, old, new):
         mask = self._up.get(addr)
@@ -186,21 +176,11 @@ def _coupling_groups(pairs, stride):
     return by_aggressor
 
 
-def _install_coupling_groups(by_aggressor, memory):
-    """Convert a :func:`_coupling_groups` table's int masks to backend
-    columns (called once, from a model's ``install``)."""
-    return {
-        aggr: [(victim, rising, force_to, memory.col_from_int(mask), delta)
-               for victim, rising, force_to, mask, delta in groups]
-        for aggr, groups in by_aggressor.items()
-    }
-
-
 def _fire_coupling_groups(memory, groups, rise, fall):
     """Corrupt the victims of every group lane whose aggressor fired."""
     for victim, rising, force_to, mask, delta in groups:
         fired = (rise if rising else fall) & mask
-        if not memory.any(fired):
+        if not fired:
             continue
         if delta:  # move from the aggressor plane to the victim plane
             fired = memory.shift_planes(fired, delta)
@@ -224,10 +204,6 @@ class _CouplingLanes(LaneFaultModel):
     def __init__(self, semantics: list[VectorSemantics]):
         self._by_aggressor = _coupling_groups(
             list(enumerate(semantics)), len(semantics))
-
-    def install(self, memory: PackedMemoryArray) -> None:
-        self._by_aggressor = _install_coupling_groups(self._by_aggressor,
-                                                      memory)
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
@@ -262,10 +238,6 @@ class _LinkedLanes(LaneFaultModel):
                      if len(sem.extra) > rank]
             self._steps.append(_coupling_groups(pairs, stride))
 
-    def install(self, memory: PackedMemoryArray) -> None:
-        self._steps = [_install_coupling_groups(step, memory)
-                       for step in self._steps]
-
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
         rise = fall = None
@@ -295,9 +267,8 @@ class _StuckOpenLanes(LaneFaultModel):
     transforms_reads = True
 
     def __init__(self, semantics: list[VectorSemantics]):
-        self._open: dict[int, object] = {}
+        self._open: dict[int, int] = {}
         self._sense = 0  # per-lane latch; powers up at initial_sense
-        self._memory: PackedMemoryArray | None = None
         for lane, sem in enumerate(semantics):
             self._open[sem.cell] = self._open.get(sem.cell, 0) | (1 << lane)
             if sem.value:
@@ -310,19 +281,16 @@ class _StuckOpenLanes(LaneFaultModel):
         # first point the geometry is known).  The latch keeps its
         # compact power-up value: initial_sense is a 0/1 cell value,
         # i.e. bit 0 -- plane 0 -- of the word.
-        self._memory = memory
-        self._open = {cell: memory.spread(memory.row_from_int(mask))
+        self._open = {cell: memory.spread(mask)
                       for cell, mask in self._open.items()}
-        self._sense = memory.col_from_int(self._sense)
 
     def transform_read(self, addr: int, sensed, port: int = 0):
         # The latch lives in the fault's sense amplifier, which the
         # scalar model shares across ports -- the port is irrelevant.
         open_here = self._open.get(addr)
         if open_here is None:
-            # Healthy read in every lane: all latches refresh.  The
-            # sensed column may be a live storage view, so latch a copy.
-            self._sense = self._memory.copy_col(sensed)
+            # Healthy read in every lane: all latches refresh.
+            self._sense = sensed
             return sensed
         # Lanes open at this address observe (and keep) their latch;
         # every other lane senses the stored bit and refreshes.
@@ -369,20 +337,11 @@ class _StateCouplingLanes(LaneFaultModel):
             in grouped.items()
         ]
         self._by_cell: dict[int, list[tuple]] = {}
-        self._enforced = False
-
-    def install(self, memory: PackedMemoryArray) -> None:
-        self._groups = [
-            (a_cell, a_bit, v_cell, v_bit, state, force_to,
-             memory.row_from_int(mask))
-            for a_cell, a_bit, v_cell, v_bit, state, force_to, mask
-            in self._groups
-        ]
-        self._by_cell = {}
         for group in self._groups:
             self._by_cell.setdefault(group[0], []).append(group)
             if group[2] != group[0]:
                 self._by_cell.setdefault(group[2], []).append(group)
+        self._enforced = False
 
     def _enforce(self, memory: PackedMemoryArray, groups) -> None:
         for a_cell, a_bit, v_cell, v_bit, state, force_to, mask in groups:
@@ -391,7 +350,7 @@ class _StateCouplingLanes(LaneFaultModel):
             # coupling state; aggressor is a subset of mask, so the
             # state-0 complement is just the XOR.
             held = aggressor if state else aggressor ^ mask
-            if not memory.any(held):
+            if not held:
                 continue
             column = memory.row_to_plane(held, v_bit)
             if force_to:
@@ -447,8 +406,7 @@ class _NpsfLanes(LaneFaultModel):
             (victim,
              tuple((cell, memory.broadcast(pattern))
                    for cell, pattern in neighbors),
-             memory.broadcast(force_to),
-             memory.row_from_int(mask))
+             memory.broadcast(force_to), mask)
             for victim, neighbors, force_to, mask in self._groups
         ]
         self._by_cell = {}
@@ -461,7 +419,7 @@ class _NpsfLanes(LaneFaultModel):
             held = row
             for cell, pattern_column in neighbors:
                 held = held & memory.match_lanes(cell, pattern_column)
-                if not memory.any(held):
+                if not held:
                     break
             else:
                 memory.blend_lanes(victim, memory.spread(held),
@@ -506,8 +464,7 @@ class _BridgeLanes(LaneFaultModel):
 
     def install(self, memory: PackedMemoryArray) -> None:
         self._groups = [
-            (cell_a, cell_b, wired_or,
-             memory.spread(memory.row_from_int(mask)))
+            (cell_a, cell_b, wired_or, memory.spread(mask))
             for cell_a, cell_b, wired_or, mask in self._groups
         ]
         self._by_cell = {}
@@ -568,7 +525,7 @@ class _RetentionLanes(LaneFaultModel):
         self._memory = memory
         self._groups = {
             cell: [(retention, memory.broadcast(decay_to),
-                    memory.spread(memory.row_from_int(mask)))
+                    memory.spread(mask))
                    for (retention, decay_to), mask in per_cell.items()]
             for cell, per_cell in self._groups.items()
         }
@@ -649,29 +606,26 @@ class _DecoderLanes(LaneFaultModel):
         self._overrides = [dict(sem.extra) for sem in semantics]
         self._conflict_cache: dict[tuple[int, ...], int] = {}
         #: per-port lane latches; missing ports power up at 0 like the
-        #: RAM's sense amps (``self._zero`` after install).
-        self._sense: dict[int, object] = {}
-        self._zero = 0
+        #: RAM's sense amps.
+        self._sense: dict[int, int] = {}
         self._pending = None  # intended value of the in-flight write
         self._memory: PackedMemoryArray | None = None
 
     def install(self, memory: PackedMemoryArray) -> None:
         self._memory = memory
-        spread, row = memory.spread, memory.row_from_int
-        self._lost = {addr: spread(row(mask))
+        spread = memory.spread
+        self._lost = {addr: spread(mask)
                       for addr, mask in self._lost.items()}
         self._redirects = {
-            addr: [(target, spread(row(mask)))
+            addr: [(target, spread(mask))
                    for target, mask in targets.items()]
             for addr, targets in self._redirects.items()
         }
         self._read_groups = {
-            addr: [(cells, spread(row(mask)))
+            addr: [(cells, spread(mask))
                    for cells, mask in groups.items()]
             for addr, groups in self._read_groups.items()
         }
-        self._sense = {}
-        self._zero = memory.col_from_int(0)
 
     def transform_write(self, addr: int, old, new):
         # The redirect targets need the *intended* value (per-lane for
@@ -696,19 +650,19 @@ class _DecoderLanes(LaneFaultModel):
         groups = self._read_groups.get(addr)
         if groups is None:
             # Default mapping in every lane; the port's latches refresh.
-            self._sense[port] = memory.copy_col(sensed)
+            self._sense[port] = sensed
             return sensed
         observed = sensed
         for cells, select in groups:
             if not cells:
                 # AF-A: the port's sense amp keeps its last value.
-                part = self._sense.get(port, self._zero)
+                part = self._sense.get(port, 0)
             else:
                 part = memory.read_lanes(cells[0])
                 for cell in cells[1:]:
                     part = part & memory.read_lanes(cell)
             observed = (observed & ~select) | (part & select)
-        self._sense[port] = memory.copy_col(observed)
+        self._sense[port] = observed
         return observed
 
     def group_write_conflicts(self, addrs: tuple[int, ...]) -> int:
@@ -808,7 +762,6 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                          reference_check: bool = True,
                          max_lanes: int = 4096,
                          pool: WorkerPool | None = None,
-                         backend: str = "auto",
                          scheduler: str = "stealing",
                          cost_model: CostModel | None = None
                          ) -> CampaignResult:
@@ -826,7 +779,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     Parameters
     ----------
     stream:
-        The compiled test.  The packed backend models the canonical
+        The compiled test.  The packed lane memory models the canonical
         front-ends -- ``SinglePortRAM(n, m)`` for flat streams and
         ``MultiPortRAM(n, m, ports)`` for cycle-grouped (multi-port)
         ones, whose groups execute as single lane-parallel memory
@@ -837,7 +790,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         Iterable of faults; outcome order preserved.
     ram_factory:
         A custom front-end (scramblers, exotic decoders) changes replay
-        semantics the packed backend does not model, so a non-None
+        semantics the packed lane memory does not model, so a non-None
         factory delegates everything to :func:`run_campaign`.
     workers:
         ``N > 0`` (or an explicit ``pool``) runs pool work
@@ -877,12 +830,6 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     cost_model:
         Overrides the default :class:`~repro.sim.costs.CostModel` for
         scalar shard planning.
-    backend:
-        Column-storage backend for the lane passes -- ``"int"``,
-        ``"numpy"`` or ``"auto"`` (see
-        :class:`~repro.memory.packed.PackedMemoryArray`).  Both backends
-        produce byte-identical verdicts; the switch exists for
-        environments without numpy and for equivalence testing.
 
     ``CampaignResult.faults_batched`` reports how many faults the lane
     passes resolved; ``operations_replayed`` counts lane-pass records
@@ -902,7 +849,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
     if ram_factory is not None:
         # A custom front-end may remap addresses or ports in ways the
-        # plane-packed backend does not model, so a non-None factory
+        # plane-packed lane memory does not model, so a non-None factory
         # delegates everything to the scalar engine (which still gets
         # compiled replay and process sharding), keeping the batched
         # entry point universally callable.
@@ -958,7 +905,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     if use_pool and (fallback or shipped):
         pending = _start_shard_flow(stream, fallback, shipped, spec,
                                     effective, pool, chunk_size, scheduler,
-                                    cost_model, max_lanes, backend)
+                                    cost_model, max_lanes)
     if pending is None and shipped:
         # No pool after all: the parent runs every lane pass itself.
         local_classes, shipped = classes, {}
@@ -970,8 +917,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         for base in range(0, len(members), max_lanes):
             chunk = members[base:base + max_lanes]
             model = build_lane_model(kind, [sem for _, _, sem in chunk])
-            packed = PackedMemoryArray(n, lanes=len(chunk), m=stream.m,
-                                       backend=backend)
+            packed = PackedMemoryArray(n, lanes=len(chunk), m=stream.m)
             model.install(packed)
             detected, executed = packed.apply_stream(
                 stream.ops, tables=stream.tables, model=model
@@ -1053,8 +999,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
 
 
 def _start_shard_flow(stream, fallback, shipped, spec, workers, pool,
-                      chunk_size, scheduler, cost_model, max_lanes,
-                      backend):
+                      chunk_size, scheduler, cost_model, max_lanes):
     """Broadcast the stream and queue scalar + lane shards on one flow.
 
     Scalar shards follow the cost-model plan (budgeted when stealing);
@@ -1093,11 +1038,11 @@ def _start_shard_flow(stream, fallback, shipped, spec, workers, pool,
             hi = min(base + width, len(members))
             if spec is not None:
                 flow.put(("lane", token, spec, kind, base, hi, None,
-                          n, m, backend))
+                          n, m))
             else:
                 chunk_faults = [fault for _i, fault, _s in members[base:hi]]
                 flow.put(("lane-list", token, None, kind, base, hi,
-                          chunk_faults, n, m, backend))
+                          chunk_faults, n, m))
             outstanding += 1
     return pool, flow, outstanding
 

@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.analysis.complexity import march_operations
 from repro.analysis.request import run_request
-from repro.faults.universe import UniverseSpec
+from repro.faults.universe import UniverseSpec, standard_universe
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
 from repro.prt import extended_schedule, standard_schedule
 from repro.server.cache import ResultCache
@@ -49,8 +49,6 @@ class TestValidation:
     def test_bad_execution_options(self):
         with pytest.raises(RequestError, match="engine must be one of"):
             resolve_campaign(CampaignRequest(test="mats", n=8, engine="warp"))
-        with pytest.raises(RequestError, match="backend must be one of"):
-            resolve_campaign(CampaignRequest(test="mats", n=8, backend="gpu"))
         with pytest.raises(RequestError, match="workers must be"):
             resolve_campaign(CampaignRequest(test="mats", n=8, workers=-1))
 
@@ -90,6 +88,22 @@ class TestValidation:
 
 
 class TestResolution:
+    def test_resolving_enumerates_no_faults(self, monkeypatch):
+        """The default universe enters the cache key as a spec; only the
+        cold path builds it."""
+        builds = []
+        original = UniverseSpec.build
+
+        def counting(spec):
+            builds.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(UniverseSpec, "build", counting)
+        resolved = resolve_campaign(CampaignRequest(test="march-c", n=61))
+        assert resolved.cache_key
+        assert builds == []
+        assert resolved.universe_spec == standard_universe(61).spec
+
     def test_memoized_on_equal_requests(self):
         a = resolve_campaign(CampaignRequest(test="march-c", n=32))
         b = resolve_campaign(CampaignRequest(test="march-c", n=32))
@@ -188,6 +202,16 @@ class TestCachedExecution:
         assert cold.cache_key == warm.cache_key == request.cache_key()
         assert pickle.dumps(warm.report) == pickle.dumps(cold.report)
         assert warm.report is not cold.report  # fresh copy per hit
+
+    def test_each_request_counts_one_lookup(self):
+        cache = ResultCache()
+        request = CampaignRequest(test="march-c", n=64)
+        execute_request(request, cache=cache)
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 0)
+        execute_request(request, cache=cache)
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
     def test_cache_false_disables_caching(self, monkeypatch):
         import repro.analysis.request as request_module

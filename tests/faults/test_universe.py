@@ -10,7 +10,7 @@ from repro.faults import (
     single_cell_universe,
     standard_universe,
 )
-from repro.faults.universe import bridging_universe
+from repro.faults.universe import bridging_universe, standard_spec
 from repro.memory import SinglePortRAM
 
 
@@ -146,6 +146,30 @@ class TestStandardUniverse:
 
     def test_union_repr(self):
         assert "SAF" in repr(standard_universe(4))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 17])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_spec_matches_the_generator_union(self, n, m, seed):
+        """standard_spec is the recipe of the generator concatenation
+        below, defaults included: equal spec, same repr (the cache-key
+        part), same fault names in the same order."""
+        reference = single_cell_universe(n, m, classes=("SAF", "TF", "SOF"))
+        reference += coupling_universe(n, m, seed=seed)
+        reference += bridging_universe(n)
+        reference += decoder_universe(n, seed=seed)
+        if m > 1:
+            reference += intra_word_universe(n, m, seed=seed)
+        spec = standard_spec(n, m, seed)
+        assert spec == reference.spec
+        assert repr(spec) == repr(reference.spec)
+        built = standard_universe(n, m, seed)
+        assert built.spec == spec
+        assert [f.name for f in built] == [f.name for f in reference]
+
+    def test_spec_rejects_a_single_cell(self):
+        with pytest.raises(ValueError, match="two cells"):
+            standard_spec(1)
 
 
 class TestUniverseSpec:

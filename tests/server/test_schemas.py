@@ -25,7 +25,7 @@ class TestRequestRoundTrip:
     def test_full(self):
         body = {
             "test": "prt3", "n": 32, "m": 4, "engine": "batched",
-            "backend": "numpy", "workers": 2, "pure": True,
+            "workers": 2, "pure": True,
             "poly": "1+z+z^4",
             "universe": {"generator": "single_cell",
                          "kwargs": {"n": 32, "m": 4}},

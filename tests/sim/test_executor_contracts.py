@@ -223,107 +223,6 @@ class TestPackedCapture:
         assert (detected, executed) == (0, 4)
 
 
-class TestBackendParity:
-    """The numpy uint64 block backend and the pure-int backend must be
-    observationally identical behind the ``PackedMemoryArray`` API: same
-    resolved lane images, same verdict columns, same captured values,
-    byte-identical ``CoverageReport`` pickles.  (The campaign engines
-    treat ``backend`` as a pure performance switch.)"""
-
-    def test_backend_selection(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.memory import packed as packed_module
-
-        assert PackedMemoryArray(4, lanes=2).backend == "int"
-        assert PackedMemoryArray(4, lanes=2, backend="int").backend == "int"
-        assert PackedMemoryArray(4, lanes=2,
-                                 backend="numpy").backend == "numpy"
-        # The auto threshold is read per construction, so a pinned value
-        # exercises both sides of the switch without 2^23-bit columns.
-        monkeypatch.setattr(packed_module, "AUTO_NUMPY_MIN_BITS", 64)
-        assert PackedMemoryArray(4, lanes=16, m=4).backend == "numpy"
-        assert PackedMemoryArray(4, lanes=63).backend == "int"
-        with pytest.raises(ValueError, match="backend"):
-            PackedMemoryArray(4, lanes=2, backend="vax")
-
-    @pytest.mark.parametrize("m", [1, 8])
-    def test_faulted_state_and_verdict_parity(self, m):
-        # Strongest form: for every lane class of a full standard
-        # universe, both backends resolve identical per-lane memory
-        # images and identical detection columns.
-        pytest.importorskip("numpy")
-        from repro.faults import standard_universe
-        from repro.march.library import MARCH_C_MINUS
-        from repro.sim import (
-            build_lane_model,
-            compile_march,
-            partition_universe,
-        )
-
-        n = 8 if m == 1 else 6
-        stream = compile_march(MARCH_C_MINUS, n, m=m)
-        universe = standard_universe(n, m=m)
-        classes, fallback = partition_universe(universe, n=n, m=m)
-        assert not fallback
-        for kind, group in classes.items():
-            sems = [sem for _, _, sem in group]
-            results = {}
-            for backend in ("int", "numpy"):
-                model = build_lane_model(kind, sems)
-                packed = PackedMemoryArray(n, lanes=len(group), m=m,
-                                           backend=backend)
-                model.install(packed)
-                detected, executed = packed.apply_stream(
-                    stream.ops, tables=stream.tables, model=model,
-                    stop_when_all_detected=False)
-                results[backend] = (
-                    detected, executed,
-                    [packed.dump_lane(lane) for lane in range(len(group))],
-                )
-            assert results["int"] == results["numpy"], kind
-
-    def test_capture_parity(self):
-        # "s" records append plain-int observed columns on both
-        # backends (the numpy executor converts at the capture point).
-        pytest.importorskip("numpy")
-        from repro.faults import StuckAtFault
-
-        from repro.sim.batched import build_lane_model
-
-        sems = [StuckAtFault(0, 0).vector_semantics(),
-                StuckAtFault(1, 1).vector_semantics()]
-        captures = {}
-        for backend in ("int", "numpy"):
-            model = build_lane_model("stuck", sems)
-            packed = PackedMemoryArray(2, lanes=2, backend=backend)
-            model.install(packed)
-            captured = []
-            packed.apply_stream(TestPackedCapture.OPS, model=model,
-                                captured=captured,
-                                stop_when_all_detected=False)
-            captures[backend] = captured
-        assert captures["int"] == captures["numpy"]
-        assert all(isinstance(column, int)
-                   for column in captures["numpy"])
-
-    def test_coverage_reports_byte_identical(self):
-        pytest.importorskip("numpy")
-        import pickle
-
-        from repro.analysis import march_runner, run_coverage
-        from repro.faults import standard_universe
-        from repro.march.library import MARCH_C_MINUS
-
-        universe = standard_universe(16)
-        runner = march_runner(MARCH_C_MINUS)
-        reports = {
-            backend: run_coverage(runner, universe, 16, engine="batched",
-                                  backend=backend)
-            for backend in ("int", "numpy")
-        }
-        assert pickle.dumps(reports["int"]) == pickle.dumps(reports["numpy"])
-
-
 class TestExecutedParity:
     """``executed`` counts w/r/s and the ra/wa recurrence ops, once per
     pass, identically on the packed and scalar executors."""

@@ -420,7 +420,7 @@ class TestGroupedRetentionClock:
     streams: one cycle group advances the clock by exactly one tick,
     ``"i"`` idles advance retention by their full count, and decay fires
     at ``elapsed > retention`` -- identically on the native multi-port
-    executor, the generic executor and both packed backends.  Off-by-one
+    executor, the generic executor and the packed executor.  Off-by-one
     cycle accounting in any executor shifts the decay boundary and fails
     the sweep."""
 
@@ -473,15 +473,13 @@ class TestGroupedRetentionClock:
                                                           mismatches=mm))
             assert generic == (detected, dump), pause
             fault = DataRetentionFault(2, retention=self.RETENTION)
-            for backend in ("int", "numpy"):
-                model = build_lane_model("retention",
-                                         [fault.vector_semantics()])
-                packed = PackedMemoryArray(8, lanes=1, backend=backend)
-                model.install(packed)
-                lanes, _ = packed.apply_stream(
-                    ops, model=model, stop_when_all_detected=False)
-                assert bool(lanes) == detected, (backend, pause)
-                assert packed.dump_lane(0) == dump, (backend, pause)
+            model = build_lane_model("retention", [fault.vector_semantics()])
+            packed = PackedMemoryArray(8, lanes=1)
+            model.install(packed)
+            lanes, _ = packed.apply_stream(
+                ops, model=model, stop_when_all_detected=False)
+            assert bool(lanes) == detected, pause
+            assert packed.dump_lane(0) == dump, pause
         assert verdicts == [False, False, False, True, True, True]
 
 
@@ -489,7 +487,7 @@ class TestMultiPortCampaign256:
     """The acceptance sweep: CoverageReport byte-identical between the
     interpreted, compiled and *batched* dual-/quad-port campaigns over
     the full ``standard_universe(256)``.  The batched engine resolves
-    grouped multi-port streams in lane passes on the packed backend --
+    grouped multi-port streams in lane passes on the packed memory --
     no scalar delegation -- so its report is pinned against the proven
     per-fault path too."""
 
@@ -526,7 +524,7 @@ class TestMultiPortCampaign256:
             [d for _, d in compiled.outcomes]
 
     def test_word_oriented_dual_port_byte_identical(self, universe_m8):
-        # m=8 acceptance: the word-lane packed backend executes the
+        # m=8 acceptance: the word-lane packed executor runs the
         # grouped dual-port stream over GF(2^8) bit planes.
         iteration = DualPortPiIteration(field=F256, generator=(1, 2, 2),
                                         seed=(0, 1))

@@ -1,4 +1,4 @@
-"""Differential executor fuzzing: random valid OpStreams, six executors.
+"""Differential executor fuzzing: random valid OpStreams, five executors.
 
 Hypothesis generates random *valid* operation streams -- flat and
 cycle-grouped records, mixed ``w/r/s/ra/wa/i`` kinds, word widths m in
@@ -11,16 +11,15 @@ codebase:
   its cycle accounting legitimately inflates, see the stream_exec module
   docstring, so it is excluded from the clock assertions),
 * ``SinglePortRAM.apply_stream`` (flat single-port streams),
-* ``PackedMemoryArray.apply_stream``, one fault-free lane, int backend,
-* ``PackedMemoryArray.apply_stream``, one fault-free lane, numpy backend.
+* ``PackedMemoryArray.apply_stream``, one fault-free lane.
 
 Every executor must agree on the final memory image (trailing ``"wa"``
 flush records fold the per-id accumulators into it), the executed-record
 count, the captured signature values and the detection verdict; the
 cycle-capable executors must additionally agree on the exact clock trace
-(observed on the packed backends through a timed no-fault probe model).
+(observed on the packed executor through a timed no-fault probe model).
 Recurrence tables are GF(2)-linear by construction -- generated from
-random basis images -- which is the invariant the packed backend's
+random basis images -- which is the invariant the packed executor's
 shift/XOR table lowering assumes and the compilers guarantee.
 """
 
@@ -230,22 +229,20 @@ def test_all_executors_agree(stream):
         assert single.dump() == base_dump
         assert single.stats.cycles == total_cycles
 
-    # Packed executors: one fault-free lane per backend.  The detection
-    # mask is monotone (no per-mismatch list), so the verdict compares
-    # as a boolean; the clock trace is observed through the probe model.
-    for backend in ("int", "numpy"):
-        probe = _ClockProbe()
-        captured = []
-        packed = PackedMemoryArray(stream.n, lanes=1, m=stream.m,
-                                   backend=backend)
-        detected, executed = packed.apply_stream(
-            stream.ops, tables=stream.tables, model=probe,
-            stop_when_all_detected=False, captured=captured)
-        assert executed == base_exec, backend
-        assert bool(detected) == bool(base_mm), backend
-        assert captured == base_cap, backend
-        assert packed.dump_lane(0) == base_dump, backend
-        assert probe.ticks == ticks, backend
+    # Packed executor: one fault-free lane.  The detection mask is
+    # monotone (no per-mismatch list), so the verdict compares as a
+    # boolean; the clock trace is observed through the probe model.
+    probe = _ClockProbe()
+    captured = []
+    packed = PackedMemoryArray(stream.n, lanes=1, m=stream.m)
+    detected, executed = packed.apply_stream(
+        stream.ops, tables=stream.tables, model=probe,
+        stop_when_all_detected=False, captured=captured)
+    assert executed == base_exec
+    assert bool(detected) == bool(base_mm)
+    assert captured == base_cap
+    assert packed.dump_lane(0) == base_dump
+    assert probe.ticks == ticks
 
 
 def test_shrinking_finds_minimal_failing_stream():

@@ -1,4 +1,4 @@
-"""Word-lane packed backend + CFst lanes == scalar engines, byte for byte.
+"""Word-lane packed memory + CFst lanes == scalar engines, byte for byte.
 
 PR contract: the plane-packed executor must reproduce the scalar
 engines' verdicts on *word-oriented* geometries (m bit planes per lane,

@@ -372,7 +372,7 @@ class TestLintContracts:
     def test_flags_private_attribute_access(self, tmp_path):
         root = self._tree(tmp_path, batched=(
             "_MODELS = {}\n"
-            "def f(memory):\n    return memory._backend\n"))
+            "def f(memory):\n    return memory._replicate\n"))
         assert any("packed-surface" in f for f in self.lint.run(root))
 
     def test_flags_lambda_in_pool(self, tmp_path):

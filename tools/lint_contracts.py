@@ -7,11 +7,12 @@ that no single module's tests can enforce:
 1. **packed-surface** -- lane models in ``repro/sim/batched.py`` drive
    memory state exclusively through the public
    :class:`~repro.memory.packed.PackedMemoryArray` column-helper surface
-   (``read_lanes``/``write_lanes``/``fold``/``broadcast``/...): no
+   (``read_lanes``/``write_lanes``/``spread``/``broadcast``/...): no
    private-attribute access on any object other than ``self``/``cls``.
-   Reaching into ``memory._backend`` (or any ``_``-prefixed storage
-   attribute) would silently couple a lane model to one storage backend
-   and break the int/numpy backend equivalence the engine guarantees.
+   The plane-major layout (which bit holds plane *b* of lane *k*) stays
+   behind ``PackedMemoryArray``: a model reaching into ``memory._lanes``
+   or ``memory._replicate`` to place its own bits would hard-code that
+   layout in one more place.
 
 2. **picklable-payloads** -- ``repro/sim/pool.py`` and ``remote.py``
    build shard task tuples that cross process (and host) boundaries, so
