@@ -198,7 +198,8 @@ def bench_one(name: str, runner_factory, n: int, workers: int) -> dict:
         universe = universe.sample(sample)
     t_int, r_int = _time_coverage(runner_factory(), universe, n,
                                   engine="interpreted")
-    t_cmp, r_cmp = _time_coverage(runner_factory(), universe, n)
+    t_cmp, r_cmp = _time_coverage(runner_factory(), universe, n,
+                                  engine="compiled")
     if _report_key(r_int) != _report_key(r_cmp):
         raise AssertionError(
             f"{name} n={n}: compiled campaign diverged from interpreted"
@@ -222,7 +223,7 @@ def bench_one(name: str, runner_factory, n: int, workers: int) -> dict:
     }
     if workers > 0:
         t_mp, r_mp = _time_coverage(runner_factory(), universe, n,
-                                    workers=workers)
+                                    engine="compiled", workers=workers)
         if _report_key(r_int) == _report_key(r_mp):
             row["compiled_mp_s"] = round(t_mp, 3)
             row["speedup_mp"] = round(t_int / t_mp, 2) if t_mp else float("inf")
@@ -235,7 +236,8 @@ def bench_single_cell(n: int) -> list[dict]:
     universe = single_cell_universe(n, classes=("SAF", "TF"))
     rows = []
     for name, build in TESTS:
-        t_cmp, r_cmp = _time_coverage(build(n), universe, n)
+        t_cmp, r_cmp = _time_coverage(build(n), universe, n,
+                                      engine="compiled")
         t_bat, r_bat = _time_coverage(build(n), universe, n,
                                       engine="batched")
         if _report_key(r_cmp) != _report_key(r_bat):
@@ -282,7 +284,8 @@ def bench_multiport(n: int) -> list[dict]:
     for name, build in MULTIPORT_SCHEMES:
         t_int, r_int = _time_coverage(build(), universe, n,
                                       engine="interpreted")
-        t_cmp, r_cmp = _time_coverage(build(), universe, n)
+        t_cmp, r_cmp = _time_coverage(build(), universe, n,
+                                      engine="compiled")
         if _report_key(r_int) != _report_key(r_cmp):
             raise AssertionError(
                 f"{name} n={n}: compiled multi-port campaign diverged "
@@ -397,7 +400,8 @@ def bench_wordlane(n: int) -> list[dict]:
                  _capped(npsf_universe(n, max_victims=32)), 1,
                  "NPSF lanes"))
     for name, build, faults, m, label in jobs:
-        t_cmp, r_cmp = _time_coverage(build(n), faults, n, m=m)
+        t_cmp, r_cmp = _time_coverage(build(n), faults, n, m=m,
+                                      engine="compiled")
         t_bat, r_bat = _time_coverage(build(n), faults, n, m=m,
                                       engine="batched")
         if _report_key(r_cmp) != _report_key(r_bat):
@@ -456,7 +460,8 @@ def bench_fallback_census(n: int, m: int) -> dict:
     scalar_s = 0.0
     if scalar_faults:
         scalar_s, _ = _time_coverage(march_runner(MARCH_C_MINUS),
-                                     scalar_faults, n, m=m)
+                                     scalar_faults, n, m=m,
+                                     engine="compiled")
     row = {
         "test": "March C-",
         "n": n,
@@ -600,7 +605,7 @@ def bench_class_costs(n: int) -> list[dict]:
             step = len(faults) // CLASS_COST_SAMPLE
             faults = faults[::step][:CLASS_COST_SAMPLE]
         elapsed, _report = _time_coverage(march_runner(MARCH_C_MINUS),
-                                          faults, n)
+                                          faults, n, engine="compiled")
         measured[fault_class] = (len(faults), elapsed / len(faults))
     floor = min(per_fault for _count, per_fault in measured.values())
     rows = []

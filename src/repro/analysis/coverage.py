@@ -12,7 +12,7 @@ test detected a fault.  Adapters wrap March tests
 single π-iterations (:func:`iteration_runner`).  The adapters are
 *compilable*: they also expose ``compile(n, m) -> OpStream``, which lets
 :func:`run_coverage` lower the test once and hand the whole universe to
-the batched campaign engine (:func:`repro.sim.campaign.run_campaign`)
+the lane campaign engine (:func:`repro.sim.batched.run_campaign_batched`)
 instead of re-interpreting the test per fault.  Opaque custom callables
 still work -- they just take the interpreted per-fault loop.
 """
@@ -183,21 +183,23 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
 
     When the runner is compilable (the :func:`march_runner` /
     :func:`schedule_runner` / :func:`iteration_runner` adapters are), the
-    test is lowered once and the whole universe is replayed by
-    :func:`repro.sim.campaign.run_campaign` -- same per-fault verdicts,
-    far less work per fault.  ``engine`` selects the path: ``"auto"``
-    (compile when possible), ``"compiled"`` (require a compilable
-    runner), ``"batched"`` (require a compilable runner and resolve
-    vectorizable fault classes lane-parallel via
-    :func:`repro.sim.batched.run_campaign_batched`, on bit- and
-    word-oriented geometries alike -- fastest on universes dominated by
-    single-cell or coupling faults), or ``"interpreted"`` (force the
-    legacy per-fault loop).  ``workers > 0`` fans the compiled campaign
-    out over that many processes (requires a picklable ``ram_factory``)
-    on the persistent shared pool of :mod:`repro.sim.pool` -- or on
-    ``pool``, an explicit :class:`~repro.sim.pool.WorkerPool` to reuse
-    across many campaigns.  With ``engine="batched"`` the lane passes
-    run concurrently with the pooled scalar remainder.
+    test is lowered once and the whole universe is replayed by the lane
+    engine, :func:`repro.sim.batched.run_campaign_batched`: one
+    bit-packed pass per fault class, on bit- and word-oriented
+    geometries alike, with the per-fault scalar engine taking only what
+    the lanes cannot model (a custom ``ram_factory``, fault kinds with
+    no registered lane semantics).  ``engine`` selects the path:
+    ``"auto"`` (the default) and ``"batched"`` are that one path, except
+    that ``"batched"`` refuses an opaque runner where ``"auto"`` falls
+    back to the per-fault interpreted loop.  ``"compiled"`` (per-fault
+    stream replay via :func:`repro.sim.campaign.run_campaign`) and
+    ``"interpreted"`` (the legacy per-fault loop) are differential
+    oracles, not product paths; every engine gives a byte-identical
+    report.  ``workers > 0`` fans the campaign out over that many
+    processes (requires a picklable ``ram_factory``) on the persistent
+    shared pool of :mod:`repro.sim.pool` -- or on ``pool``, an explicit
+    :class:`~repro.sim.pool.WorkerPool` to reuse across many campaigns
+    -- and the lane passes run concurrently with the pooled work.
 
     >>> from repro.faults import single_cell_universe
     >>> from repro.march.library import MARCH_C_MINUS
@@ -206,7 +208,7 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     >>> report.coverage_of("SAF")
     1.0
     """
-    from repro.analysis.request import CampaignRequest, run_request
+    from repro.analysis.request import ENGINES, CampaignRequest, run_request
 
     if isinstance(runner, CampaignRequest):
         if universe is not None or n is not None:
@@ -221,11 +223,8 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
             "run_coverage needs (runner, universe, n) -- or a single "
             "CampaignRequest"
         )
-    if engine not in ("auto", "compiled", "batched", "interpreted"):
-        raise ValueError(
-            f"engine must be 'auto', 'compiled', 'batched' or "
-            f"'interpreted', got {engine!r}"
-        )
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     compile_fn = getattr(runner, "compile", None)
     if engine in ("compiled", "batched") and compile_fn is None:
         raise ValueError(
@@ -235,14 +234,10 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
         )
     report = CoverageReport(test_name=test_name)
     if engine != "interpreted" and compile_fn is not None:
-        stream = compile_fn(n, m)
-        campaign = (run_campaign_batched(
-            stream, universe, ram_factory=ram_factory,
-            workers=workers, pool=pool, progress=progress)
-            if engine == "batched"
-            else run_campaign(stream, universe, ram_factory=ram_factory,
-                              workers=workers, pool=pool,
-                              progress=progress))
+        replay = run_campaign if engine == "compiled" else run_campaign_batched
+        campaign = replay(compile_fn(n, m), universe,
+                          ram_factory=ram_factory, workers=workers,
+                          pool=pool, progress=progress)
         for fault, detected in campaign.outcomes:
             report.record(fault.fault_class, fault.name, detected)
         return report

@@ -23,14 +23,15 @@ validation.  This module collapses them onto one surface:
   through it -- three copies of kwarg threading became one.
 
 * :func:`execute_request` / :func:`run_request` -- run a resolved
-  campaign through the legacy engines, optionally consulting a
+  campaign through :func:`run_coverage`, optionally consulting a
   :class:`~repro.server.cache.ResultCache` so a repeated request is a
   dict lookup instead of a campaign.
 
-The cache key is built from ``(stream digest, universe spec, engine,
-m, n, ports)`` -- everything that determines the report, and
-nothing that does not (``workers`` changes wall clock, never verdicts,
-so it is deliberately excluded).
+The cache key is built from ``(stream digest, universe spec, m, n,
+ports)`` -- everything that determines the report, and nothing that
+does not (``engine`` and ``workers`` change wall clock, never verdicts:
+every engine is pinned byte-identical, so both are deliberately
+excluded).
 
 >>> request = CampaignRequest(test="march-c", n=16)
 >>> resolve_campaign(request).ports
@@ -193,8 +194,8 @@ class CampaignRequest:
         fault list) is what keeps requests hashable and shardable.
     engine, workers:
         Execution options, identical to ``run_coverage``'s kwargs.
-        ``workers`` is excluded from :meth:`cache_key` -- it changes
-        wall clock, never verdicts.
+        Both are excluded from :meth:`cache_key` -- they change wall
+        clock, never verdicts.
     pure:
         Drop transparent verification from the PRT schedules (the
         paper-exact signature-only mode; ignored for March tests).
@@ -221,10 +222,10 @@ class CampaignRequest:
     def cache_key(self) -> str:
         """Stable content address of this campaign's result.
 
-        SHA-256 over ``(stream digest, universe spec, engine, m, n,
-        ports)`` -- stable across processes and Python runs, so an
-        on-disk cache written by one server process serves another.
-        Validation runs first: an invalid request has no key.
+        SHA-256 over ``(stream digest, universe spec, m, n, ports)`` --
+        stable across processes and Python runs, so an on-disk cache
+        written by one server process serves another.  Validation runs
+        first: an invalid request has no key.
         """
         return resolve_campaign(self).cache_key
 
@@ -272,7 +273,6 @@ class ResolvedCampaign:
             text = "\x00".join((
                 self.compile().digest(),
                 repr(self.universe_spec),
-                request.engine,
                 str(request.m),
                 str(request.n),
                 str(self.ports),
@@ -500,7 +500,7 @@ def _run_resolved(resolved: ResolvedCampaign, name: str,
                   pool: WorkerPool | None,
                   progress: Callable[[int, int], None] | None
                   ) -> CoverageReport:
-    """The cold path: materialize the universe, run the legacy engine."""
+    """The cold path: materialize the universe, run the request's engine."""
     request = resolved.request
     return run_coverage(
         resolved.runner, resolved.build_universe(), request.n, m=request.m,

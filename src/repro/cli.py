@@ -40,6 +40,7 @@ from repro.analysis import (
     execute_request,
     resolve_campaign,
 )
+from repro.analysis.request import ENGINES
 from repro.analysis.request import build_field as _build_field
 from repro.faults import (
     DataRetentionFault,
@@ -143,15 +144,9 @@ def _coverage_request(args) -> CampaignRequest:
     :func:`~repro.analysis.request.resolve_campaign`, the same resolver
     behind ``run_coverage(request)`` and the :mod:`repro.server` API.
     """
-    if args.interpreted and args.engine not in ("auto", "interpreted"):
-        raise SystemExit(
-            "error: --interpreted conflicts with --engine "
-            f"{args.engine!r}; use --engine interpreted"
-        )
-    engine = "interpreted" if args.interpreted else args.engine
     selector = args.test if args.scheme == "single" else args.scheme
     return CampaignRequest(
-        test=selector, n=args.n, m=args.m, engine=engine,
+        test=selector, n=args.n, m=args.m, engine=args.engine,
         workers=args.workers, pure=args.pure, poly=args.poly,
     )
 
@@ -334,24 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "iterations with transparent verification riding "
                         "the write cycles' idle ports and a port-parallel "
                         "read-back; --pure drops the verification); the "
-                        "port schemes replace --test and replay through "
-                        "the compiled cycle-grouped engine")
+                        "port schemes replace --test and replay as "
+                        "cycle-grouped streams")
     p.add_argument("--pure", action="store_true")
     p.add_argument("--workers", type=int, default=0,
                    help="shard the campaign over N worker processes "
-                        "(0 = serial); with --engine batched the lane "
-                        "passes overlap the scalar remainder")
-    p.add_argument("--engine",
-                   choices=("auto", "interpreted", "compiled", "batched"),
-                   default="auto",
-                   help="campaign engine: auto (compile when possible), "
-                        "interpreted (legacy per-fault loop), compiled "
-                        "(per-fault stream replay), batched (bit-packed "
-                        "lane-parallel fault classes, bit- and "
-                        "word-oriented alike; fastest on universes "
-                        "dominated by single-cell or coupling faults)")
-    p.add_argument("--interpreted", action="store_true",
-                   help="deprecated alias for --engine interpreted")
+                        "(0 = serial); the lane passes overlap the "
+                        "pooled work")
+    p.add_argument("--engine", choices=ENGINES, default="auto",
+                   help="campaign engine: auto or batched (the default "
+                        "lane engine: bit-packed lane-parallel fault "
+                        "classes, bit- and word-oriented alike), or one "
+                        "of the differential oracles compiled (per-fault "
+                        "stream replay) and interpreted (legacy per-fault "
+                        "loop); every engine prints the same table")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable result (same schema "
                         "as the repro.server POST /coverage response)")

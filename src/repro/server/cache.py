@@ -3,8 +3,8 @@
 A coverage campaign is a pure function of its
 :class:`~repro.analysis.request.CampaignRequest`: the stream digest
 (:meth:`~repro.sim.ir.OpStream.digest`), the
-:class:`~repro.faults.universe.UniverseSpec`, the engine and the
-geometry fully determine the :class:`CoverageReport` -- the request's
+:class:`~repro.faults.universe.UniverseSpec` and the geometry fully
+determine the :class:`CoverageReport` -- the request's
 ``cache_key()`` is a SHA-256 content address over exactly those parts.
 :class:`ResultCache` exploits that:
 

@@ -255,3 +255,38 @@ class TestCachedExecution:
         assert rows[0].report.total == report.total
         assert cache.stats()["misses"] >= 1
         assert cache.stats()["hits"] >= 1
+
+
+class TestDefaultEngineIsLane:
+    """A default request reaches the lane engine, and the oracles agree.
+
+    Every selector at one bit- and one word-oriented geometry: the
+    default ``engine="auto"`` must resolve the whole universe in lane
+    passes (no scalar fallback), and the report must be byte-identical
+    to the ``compiled`` and ``interpreted`` oracle engines.
+    """
+
+    @pytest.mark.parametrize("n,m", [(22, 1), (14, 4)])
+    @pytest.mark.parametrize("test", [t["test"] for t in known_tests()])
+    def test_default_request_runs_lane_passes(self, monkeypatch, test, n,
+                                              m):
+        import repro.analysis.coverage as coverage_module
+
+        results = []
+        original = coverage_module.run_campaign_batched
+
+        def spying(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(coverage_module, "run_campaign_batched", spying)
+        request = CampaignRequest(test=test, n=n, m=m)
+        default = execute_request(request, cache=False).report
+        assert len(results) == 1
+        universe = resolve_campaign(request).build_universe()
+        assert results[0].faults_batched == len(universe)
+        for engine in ("compiled", "interpreted"):
+            oracle = execute_request(request.replace(engine=engine),
+                                     cache=False).report
+            assert_reports_identical(default, oracle)
+        assert len(results) == 1  # the oracles never take the lane path

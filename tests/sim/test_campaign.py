@@ -106,8 +106,9 @@ class TestRunCampaign:
 
         universe = single_cell_universe(8, classes=("SAF", "TF"))
         report = run_coverage(march_runner(MARCH_C_MINUS), universe, 8,
-                              ram_factory=lambda: Bare(8))
-        native = run_coverage(march_runner(MARCH_C_MINUS), universe, 8)
+                              ram_factory=lambda: Bare(8), engine="compiled")
+        native = run_coverage(march_runner(MARCH_C_MINUS), universe, 8,
+                              engine="compiled")
         assert _report_key(report) == _report_key(native)
 
     def test_compile_memoized_across_runs(self):
@@ -162,7 +163,8 @@ class TestRunCoverageRouting:
 
     def test_march_compiled_matches_interpreted(self):
         universe = standard_universe(16)
-        compiled = run_coverage(march_runner(MARCH_C_MINUS), universe, 16)
+        compiled = run_coverage(march_runner(MARCH_C_MINUS), universe, 16,
+                                engine="compiled")
         interpreted = run_coverage(march_runner(MARCH_C_MINUS), universe, 16,
                                    engine="interpreted")
         assert _report_key(compiled) == _report_key(interpreted)
@@ -170,14 +172,15 @@ class TestRunCoverageRouting:
     def test_schedule_compiled_matches_interpreted(self):
         universe = standard_universe(14)
         runner = schedule_runner(standard_schedule(n=14))
-        compiled = run_coverage(runner, universe, 14)
+        compiled = run_coverage(runner, universe, 14, engine="compiled")
         interpreted = run_coverage(runner, universe, 14, engine="interpreted")
         assert _report_key(compiled) == _report_key(interpreted)
 
     def test_iteration_compiled_matches_interpreted(self):
         universe = standard_universe(14)
         iteration = PiIteration(generator=(1, 0, 1, 1), seed=(0, 0, 1))
-        compiled = run_coverage(iteration_runner(iteration), universe, 14)
+        compiled = run_coverage(iteration_runner(iteration), universe, 14,
+                                engine="compiled")
         interpreted = run_coverage(iteration_runner(iteration), universe, 14,
                                    engine="interpreted")
         assert _report_key(compiled) == _report_key(interpreted)
@@ -215,7 +218,8 @@ class TestRunCoverageRouting:
             calls.append(1)
             return SinglePortRAM(8)
 
-        run_coverage(march_runner(MATS), universe, 8, ram_factory=factory)
+        run_coverage(march_runner(MATS), universe, 8, ram_factory=factory,
+                     engine="compiled")
         assert len(calls) == len(universe)
 
     def test_runner_is_still_callable(self):

@@ -538,8 +538,9 @@ class TestMultiPortCampaign256:
     def test_sharded_workers_byte_identical(self, universe_256):
         iteration = QuadPortPiIteration(seed=(0, 1))
         runner = quad_port_runner(iteration)
-        serial = run_coverage(runner, universe_256, 256)
-        sharded = run_coverage(runner, universe_256, 256, workers=2)
+        serial = run_coverage(runner, universe_256, 256, engine="compiled")
+        sharded = run_coverage(runner, universe_256, 256, engine="compiled",
+                               workers=2)
         assert_reports_identical(serial, sharded)
 
     def test_batched_sharded_workers_byte_identical(self, universe_256):
@@ -674,7 +675,8 @@ class TestCampaignFrontEndGuards:
         # stream's `ports` for the compiled campaign.
         iteration = DualPortPiIteration(seed=(0, 1))
         universe = standard_universe(14)
-        compiled = run_coverage(dual_port_runner(iteration), universe, 14)
+        compiled = run_coverage(dual_port_runner(iteration), universe, 14,
+                                engine="compiled")
         interpreted = run_coverage(dual_port_runner(iteration), universe, 14,
                                    engine="interpreted")
         assert report_key(compiled) == report_key(interpreted)

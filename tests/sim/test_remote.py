@@ -82,10 +82,11 @@ class TestLoopbackParity:
         one, two = daemon_pair
         universe = standard_universe(256)
         serial = run_coverage(march_runner(MARCH_C_MINUS),
-                              standard_universe(256), n=256)
+                              standard_universe(256), n=256,
+                              engine="compiled")
         with RemotePool([one.address, two.address]) as pool:
             remote = run_coverage(march_runner(MARCH_C_MINUS), universe,
-                                  n=256, pool=pool)
+                                  n=256, pool=pool, engine="compiled")
         assert pickle.dumps(remote) == pickle.dumps(serial)
 
     def test_stream_ships_once_per_host(self, daemon_pair):
@@ -138,14 +139,15 @@ class TestWorkerLoss:
         survivor = ReproDaemon().start()
         try:
             serial = run_coverage(march_runner(MARCH_C_MINUS),
-                                  standard_universe(256), n=256)
+                                  standard_universe(256), n=256,
+                                  engine="compiled")
             pool = RemotePool([slow.address, survivor.address])
             killer = threading.Timer(0.1, slow.close)
             killer.start()
             try:
                 remote = run_coverage(march_runner(MARCH_C_MINUS),
                                       standard_universe(256), n=256,
-                                      pool=pool)
+                                      pool=pool, engine="compiled")
             finally:
                 killer.cancel()
                 killer.join()

@@ -93,7 +93,8 @@ class TestSchedulerDeterminism:
                                                  remote_pool):
         def report(**kwargs):
             return run_coverage(march_runner(MARCH_C_MINUS),
-                                standard_universe(24), n=24, **kwargs)
+                                standard_universe(24), n=24,
+                                engine="compiled", **kwargs)
 
         serial = pickle.dumps(report())
         assert pickle.dumps(report(pool=local_pool)) == serial

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import _parse_fault, build_parser, main
+from repro.faults import standard_universe
+from repro.server.cache import reset_default_cache
 
 
 class TestFaultSpecParsing:
@@ -115,15 +117,34 @@ class TestCoverageCommand:
         code = main(["coverage", "--n", "14", "--test", "march-c"])
         assert code == 0
 
-    def test_engine_selection_identical_tables(self, capsys):
+    def test_engine_selection_identical_tables(self, monkeypatch, capsys):
+        import repro.analysis.coverage as coverage_module
+
+        lane_runs = []
+        original = coverage_module.run_campaign_batched
+
+        def spying(*args, **kwargs):
+            lane_runs.append(original(*args, **kwargs))
+            return lane_runs[-1]
+
+        monkeypatch.setattr(coverage_module, "run_campaign_batched", spying)
         outputs = {}
-        for engine in ("interpreted", "compiled", "batched"):
-            code = main(["coverage", "--n", "14", "--test", "march-c",
-                         "--engine", engine])
+        for engine in (None, "interpreted", "compiled", "batched"):
+            # The engine is not part of the cache key: start each run on
+            # an empty default cache so every engine really computes.
+            reset_default_cache()
+            flags = [] if engine is None else ["--engine", engine]
+            code = main(["coverage", "--test", "march-c", "--n", "14",
+                         *flags])
             assert code == 0
             outputs[engine] = capsys.readouterr().out
+        # The default and batched runs took the lane engine with no
+        # scalar fallback; the two oracle engines did not.
+        assert [r.faults_batched for r in lane_runs] == \
+            [len(standard_universe(14))] * 2
         assert outputs["interpreted"] == outputs["compiled"]
         assert outputs["interpreted"] == outputs["batched"]
+        assert outputs["interpreted"] == outputs[None]
 
     @pytest.mark.parametrize("scheme,cycles", [
         ("dual-schedule", "86 cycles"), ("quad-schedule", "47 cycles"),
@@ -138,16 +159,6 @@ class TestCoverageCommand:
     def test_schedule_scheme_odd_n_rejected(self):
         with pytest.raises(SystemExit, match="even --n"):
             main(["coverage", "--n", "13", "--scheme", "quad-schedule"])
-
-    def test_interpreted_alias(self, capsys):
-        code = main(["coverage", "--n", "14", "--test", "march-c",
-                     "--interpreted"])
-        assert code == 0
-
-    def test_interpreted_conflicts_with_engine(self):
-        with pytest.raises(SystemExit, match="conflicts"):
-            main(["coverage", "--n", "14", "--test", "march-c",
-                  "--engine", "batched", "--interpreted"])
 
     def test_json_output_matches_server_schema(self, capsys):
         code = main(["coverage", "--n", "14", "--test", "march-c",
